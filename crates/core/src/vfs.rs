@@ -644,15 +644,18 @@ mod tests {
     fn armed_fault_fires_on_nth_op_then_expires() {
         let dir = tmp_dir("nth");
         let path = dir.join("x.bin");
-        let before = fault::injected_total();
         let guard = fault::arm(FaultSpec::transient("t-nth", ErrorClass::Eio, 2, 1).scoped(&dir));
+        // Both counter reads happen while the guard holds the fault lock:
+        // a sibling fault test can only inject outside that window.
+        let before = fault::injected_total();
         write("t-nth", &path, b"one").unwrap(); // op 1: below trigger
         let err = write("t-nth", &path, b"two").unwrap_err(); // op 2: fires
         assert!(fault::is_injected(&err), "{err}");
         write("t-nth", &path, b"three").unwrap(); // count exhausted
+        let injected = fault::injected_total() - before;
         drop(guard);
         write("t-nth", &path, b"four").unwrap(); // disarmed
-        assert_eq!(fault::injected_total() - before, 1);
+        assert_eq!(injected, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

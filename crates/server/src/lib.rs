@@ -3,9 +3,10 @@
 //! A concurrent TCP front-end serving approximate-query-processing reads
 //! (and ingest) over a [`SynopsisStore`] — the network surface on top of
 //! the panic-free query path: reads execute against immutable
-//! [`SnapshotView`]s (`Arc`-cloned segment handles plus memtable copies
-//! captured under one brief read lock per shard), so queries never block
-//! ingest and never hold a shard lock across socket I/O.
+//! [`SnapshotView`]s (`Arc`-cloned segment handles plus the memtables'
+//! copy-on-write expected frequencies, captured under one brief read lock
+//! per shard at a cost independent of the unsealed volume), so queries
+//! never block ingest and never hold a shard lock across socket I/O.
 //!
 //! ## Protocol
 //!

@@ -371,8 +371,10 @@ fn execute_command<R: BufRead, W: Write>(
     match command {
         Command::Ping => writer.write_all(b"OK pong\n")?,
         Command::Est { item } => {
-            // A fresh snapshot view per query: captured under brief
-            // per-shard read locks, answered with no lock held.
+            // A fresh snapshot view per query: `O(partitions + segments)`
+            // `Arc` clones under brief per-shard read locks (the memtables'
+            // expected frequencies are shared copy-on-write, never
+            // copied), answered with no lock held.
             let value = store.snapshot_view().estimate(item);
             write_ok_value(writer, value)?;
         }

@@ -65,6 +65,14 @@
 //!   `pds_store_merge_cache_{hits,misses}_total` make the hit rate
 //!   observable.
 //!
+//! Both read paths — the store's own queries and [`SnapshotView`] — sum
+//! through one routine, so they cannot drift apart.  A view captures each
+//! memtable as a `MemtableCapture`: the `Arc` of its expected
+//! frequencies, which writers update copy-on-write, never its records.
+//! A capture therefore costs `O(partitions + segments)` whatever the
+//! unsealed volume (`tests/store_capture_cost.rs` counts its allocated
+//! bytes at 10k and 200k unsealed records).
+//!
 //! Query bounds share one contract, `clamp_range`: an empty store, a
 //! window past the domain, or an inverted window answers `0.0` (the
 //! server pins this as the literal `OK 0` wire line); an in-domain `lo`

@@ -1,5 +1,7 @@
 //! The mutable ingest buffer of one partition.
 
+use std::sync::Arc;
+
 use pds_core::error::{PdsError, Result};
 use pds_core::model::{BasicModel, ProbabilisticRelation, TuplePdfModel, ValuePdf, ValuePdfModel};
 use pds_core::stream::StreamRecord;
@@ -8,6 +10,12 @@ use pds_core::stream::StreamRecord;
 /// are appended (with their global item ids localised to the partition) and
 /// the exact per-item expected frequencies are maintained incrementally, so
 /// live un-sealed data answers range queries without scanning the buffer.
+///
+/// The expected frequencies sit behind an `Arc` that writers update
+/// copy-on-write, so `Memtable::capture` shares them with a reader in
+/// `O(1)`: while no capture is alive every update is an in-place write
+/// behind a uniqueness check, and the first update after a capture copies
+/// the vector once.
 #[derive(Debug, Clone)]
 pub struct Memtable {
     /// First global item of the partition.
@@ -16,7 +24,47 @@ pub struct Memtable {
     records: Vec<StreamRecord>,
     /// Exact expected frequency per local item (expectation is linear, so
     /// every record kind contributes a closed-form increment).
-    expected: Vec<f64>,
+    expected: Arc<Vec<f64>>,
+}
+
+/// A read-only point-in-time capture of a [`Memtable`]'s expected
+/// frequencies: the partition start, the shared frequency vector and the
+/// record count, never the records themselves.  Later writes to the
+/// memtable copy the vector rather than touch this one, so a capture
+/// answers [`MemtableCapture::range_sum`] bitwise as the memtable did
+/// when it was taken.
+#[derive(Debug, Clone)]
+pub(crate) struct MemtableCapture {
+    start: usize,
+    records: usize,
+    expected: Arc<Vec<f64>>,
+}
+
+impl MemtableCapture {
+    /// Number of records buffered at capture time.
+    pub(crate) fn len(&self) -> usize {
+        self.records
+    }
+
+    /// Exact expected total frequency over the **global** inclusive item
+    /// range `[lo, hi]` at capture time (see [`Memtable::range_sum`]).
+    pub(crate) fn range_sum(&self, lo: usize, hi: usize) -> f64 {
+        window_sum(self.start, &self.expected, lo, hi)
+    }
+}
+
+/// The sum of `expected` (local indexing from global item `start`) over
+/// its overlap with the global inclusive range `[lo, hi]` — the one
+/// summation behind both [`Memtable::range_sum`] and
+/// [`MemtableCapture::range_sum`], so the two agree bitwise.
+fn window_sum(start: usize, expected: &[f64], lo: usize, hi: usize) -> f64 {
+    let end = start + expected.len();
+    if hi < start || lo >= end {
+        return 0.0;
+    }
+    let from = lo.max(start) - start;
+    let to = hi.min(end - 1) - start;
+    expected[from..=to].iter().sum()
 }
 
 impl Memtable {
@@ -26,7 +74,7 @@ impl Memtable {
         Memtable {
             start,
             records: Vec::new(),
-            expected: vec![0.0; width],
+            expected: Arc::new(vec![0.0; width]),
         }
     }
 
@@ -63,6 +111,16 @@ impl Memtable {
         &self.records
     }
 
+    /// Shares the current expected frequencies with a reader: an `Arc`
+    /// clone, no copy of the frequencies or the records.
+    pub(crate) fn capture(&self) -> MemtableCapture {
+        MemtableCapture {
+            start: self.start,
+            records: self.records.len(),
+            expected: Arc::clone(&self.expected),
+        }
+    }
+
     /// Appends a record.  The record is validated and every item it touches
     /// must fall inside this partition's range (the store splits
     /// cross-partition x-tuples before routing).
@@ -75,10 +133,12 @@ impl Memtable {
                 domain: end,
             });
         }
-        // Localise and fold the expectation increment.
+        // Localise and fold the expectation increment.  `make_mut` is a
+        // uniqueness check unless a capture still shares the vector.
+        let expected = Arc::make_mut(&mut self.expected);
         let local = match record {
             StreamRecord::Basic { item, prob } => {
-                self.expected[item - self.start] += prob;
+                expected[item - self.start] += prob;
                 StreamRecord::Basic {
                     item: item - self.start,
                     prob,
@@ -88,15 +148,14 @@ impl Memtable {
                 let alts: Vec<(usize, f64)> = alts
                     .into_iter()
                     .map(|(i, p)| {
-                        self.expected[i - self.start] += p;
+                        expected[i - self.start] += p;
                         (i - self.start, p)
                     })
                     .collect();
                 StreamRecord::Alternatives(alts)
             }
             StreamRecord::ValueDistribution { item, entries } => {
-                self.expected[item - self.start] +=
-                    entries.iter().map(|&(v, p)| v * p).sum::<f64>();
+                expected[item - self.start] += entries.iter().map(|&(v, p)| v * p).sum::<f64>();
                 StreamRecord::ValueDistribution {
                     item: item - self.start,
                     entries,
@@ -110,13 +169,7 @@ impl Memtable {
     /// Exact expected total frequency over the **global** inclusive item
     /// range `[lo, hi]`, counting only this partition's overlap.
     pub fn range_sum(&self, lo: usize, hi: usize) -> f64 {
-        let end = self.start + self.width();
-        if hi < self.start || lo >= end {
-            return 0.0;
-        }
-        let from = lo.max(self.start) - self.start;
-        let to = hi.min(end - 1) - self.start;
-        self.expected[from..=to].iter().sum()
+        window_sum(self.start, &self.expected, lo, hi)
     }
 
     /// Materialises the buffered records as a probabilistic relation over
@@ -175,10 +228,15 @@ impl Memtable {
     }
 
     /// Empties the buffer (called after the records were sealed into a
-    /// segment), keeping the partition range.
+    /// segment), keeping the partition range.  A capture still sharing
+    /// the frequencies keeps them: the memtable takes a fresh zeroed
+    /// vector instead of copying one it is about to zero.
     pub fn clear(&mut self) {
         self.records.clear();
-        self.expected.iter_mut().for_each(|v| *v = 0.0);
+        match Arc::get_mut(&mut self.expected) {
+            Some(expected) => expected.fill(0.0),
+            None => self.expected = Arc::new(vec![0.0; self.width()]),
+        }
     }
 
     /// Prepends an `older` buffer of the same partition (its records come
@@ -196,7 +254,8 @@ impl Memtable {
         );
         std::mem::swap(&mut self.records, &mut older.records);
         self.records.append(&mut older.records);
-        for (mine, theirs) in self.expected.iter_mut().zip(&older.expected) {
+        let expected = Arc::make_mut(&mut self.expected);
+        for (mine, theirs) in expected.iter_mut().zip(older.expected.iter()) {
             *mine += theirs;
         }
     }
@@ -308,6 +367,54 @@ mod tests {
             }
         );
         assert!((newer.range_sum(4, 7) - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn captures_are_isolated_from_every_later_mutation() {
+        let basic = |item, prob| StreamRecord::Basic { item, prob };
+        let pin = |c: &MemtableCapture| {
+            (
+                c.len(),
+                c.range_sum(0, 100).to_bits(),
+                c.range_sum(6, 7).to_bits(),
+            )
+        };
+        let mut m = Memtable::new(4, 4);
+        m.insert(basic(4, 0.5)).unwrap();
+        m.insert(basic(6, 0.25)).unwrap();
+        // With no capture alive, inserts update the frequencies in place.
+        let unshared = m.expected_frequencies().as_ptr();
+        m.insert(basic(7, 0.125)).unwrap();
+        assert_eq!(m.expected_frequencies().as_ptr(), unshared);
+
+        // Insert: the writer copies, the capture keeps its values.
+        let shot = m.capture();
+        let pinned = pin(&shot);
+        assert_eq!(pinned.1, m.range_sum(0, 100).to_bits());
+        m.insert(basic(6, 0.0625)).unwrap();
+        assert_eq!(pin(&shot), pinned);
+        assert_ne!(m.expected_frequencies().as_ptr(), unshared);
+        assert_eq!(m.range_sum(6, 7), 0.4375);
+
+        // Undo of a failed seal: absorbing an older buffer copies too.
+        let shot = m.capture();
+        let pinned = pin(&shot);
+        let mut older = Memtable::new(4, 4);
+        older.insert(basic(7, 0.5)).unwrap();
+        m.absorb_front(older);
+        assert_eq!(pin(&shot), pinned);
+        assert_eq!(m.len(), 5);
+        assert_eq!(m.range_sum(7, 7), 0.625);
+
+        // Clear: the capture keeps the shared vector, the memtable zeroes
+        // a fresh one.
+        let shot = m.capture();
+        let pinned = pin(&shot);
+        m.clear();
+        assert_eq!(pin(&shot), pinned);
+        assert_eq!(shot.len(), 5);
+        assert!(m.is_empty() && m.capture().len() == 0);
+        assert_eq!(m.range_sum(0, 100), 0.0);
     }
 
     #[test]

@@ -47,7 +47,7 @@ use crate::blob::{self, BlobFooter, BlobMeta, FOOTER_LEN, HEADER_LEN};
 use crate::compaction::CompactionPolicy;
 use crate::crashpoint;
 use crate::manifest::{segment_blob_name, Manifest};
-use crate::memtable::Memtable;
+use crate::memtable::{Memtable, MemtableCapture};
 use crate::segment::{Segment, SegmentSynopsis, SynopsisKind};
 use crate::telemetry::{IoPolicy, QueryOp, StoreTelemetry};
 use crate::wal::{PartitionWal, WalSync};
@@ -476,6 +476,17 @@ struct Shard {
     /// swap pending) — serialises compaction per partition.
     compacting: bool,
     wal: Option<PartitionWal>,
+}
+
+impl Shard {
+    /// The sealed-segment handles in install order, `Arc`-cloned so the
+    /// caller can load and sum them after the shard guard drops.
+    fn handles(&self) -> Vec<Arc<SegmentHandle>> {
+        self.segments
+            .iter()
+            .map(|s| Arc::clone(&s.handle))
+            .collect()
+    }
 }
 
 /// The durable half of a store opened with
@@ -1307,13 +1318,10 @@ impl SynopsisStore {
     ///
     /// Panics when `p >= num_partitions()` (like slice indexing).
     pub fn segments(&self, p: usize) -> Vec<Segment> {
-        let handles: Vec<Arc<SegmentHandle>> = self.inner.shards[p]
+        let handles = self.inner.shards[p]
             .read()
             .unwrap_or_else(|e| e.into_inner())
-            .segments
-            .iter()
-            .map(|s| Arc::clone(&s.handle))
-            .collect();
+            .handles();
         handles
             .iter()
             .filter_map(|h| h.load().ok())
@@ -2108,15 +2116,8 @@ impl SynopsisStore {
     /// read never runs under a shard lock; an unreadable block fails the
     /// merge (which must be complete or an error, never silently partial).
     fn partition_pieces(&self, p: usize) -> Result<Option<Vec<Piece>>> {
-        let handles: Vec<Arc<SegmentHandle>> = {
-            let Some(shard) = self.read_shard(p) else {
-                return Ok(None);
-            };
-            shard
-                .segments
-                .iter()
-                .map(|s| Arc::clone(&s.handle))
-                .collect()
+        let Some(handles) = self.read_shard(p).map(|shard| shard.handles()) else {
+            return Ok(None);
         };
         let mut layers: Vec<Vec<Piece>> = Vec::with_capacity(handles.len());
         for handle in &handles {
@@ -2466,63 +2467,29 @@ impl SynopsisStore {
     /// `op="estimate"` sample, never an extra `op="range_estimate"` one.
     /// Same panic-free serving contract as the public wrapper.
     fn range_estimate_core(&self, lo: usize, hi: usize) -> f64 {
-        let Some((lo, hi)) = clamp_range(self.n(), lo, hi) else {
-            return 0.0;
-        };
-        // `lo <= hi < n`, so both lookups are in-domain; degrade to an
-        // empty answer rather than panic if that invariant ever breaks.
-        let (Ok(first), Ok(last)) = (
-            self.inner.config.partitions.partition_of(lo),
-            self.inner.config.partitions.partition_of(hi),
-        ) else {
-            return 0.0;
-        };
-        let prune = self.inner.config.prune;
-        let mut visited = 0u64;
-        let mut pruned = 0u64;
-        let mut total = 0.0;
-        for p in first..=last {
-            // Capture the shard's state under a brief read guard, then sum
-            // off-guard: a lazily-backed handle's first touch reads its
-            // synopsis block from disk, which must never run under a shard
-            // lock.  The summation order is load-bearing — segments in
-            // install order, then the live memtable, then each frozen
-            // memtable individually (f64 addition is order- and
-            // grouping-sensitive) — so the pruned, lazy and eager paths all
-            // answer bitwise the same value (see `StoreConfig::prune` for
-            // why skipping a fenced-out segment is exact).
+        let config = &self.inner.config;
+        let sum = RangeSum::over(&config.partitions, config.prune, lo, hi, |p, sum| {
+            // Read the handles and the memtable sums under a brief guard,
+            // then sum off-guard: a lazily-backed handle's first touch
+            // reads its synopsis block from disk, which must never run
+            // under a shard lock.
             let Some(shard) = self.read_shard(p) else {
-                continue;
+                return;
             };
-            let handles: Vec<Arc<SegmentHandle>> = shard
-                .segments
-                .iter()
-                .map(|s| Arc::clone(&s.handle))
-                .collect();
-            let live = shard.memtable.range_sum(lo, hi);
+            let handles = shard.handles();
+            let live = shard.memtable.range_sum(sum.lo, sum.hi);
             // A memtable frozen for an in-flight background seal still
             // carries its mass until the segment installs.
-            let frozen_sums: Vec<f64> = shard
+            let frozen: Vec<f64> = shard
                 .frozen
                 .iter()
-                .map(|(_, m)| m.range_sum(lo, hi))
+                .map(|(_, m)| m.range_sum(sum.lo, sum.hi))
                 .collect();
             drop(shard);
-            for handle in &handles {
-                if prune && !handle.may_overlap(lo, hi) {
-                    pruned += 1;
-                    continue;
-                }
-                visited += 1;
-                total += handle.range_sum(lo, hi);
-            }
-            total += live;
-            for sum in frozen_sums {
-                total += sum;
-            }
-        }
-        self.inner.telemetry.record_scan(visited, pruned);
-        total
+            sum.add(&handles, std::iter::once(live).chain(frozen));
+        });
+        self.inner.telemetry.record_scan(sum.visited, sum.pruned);
+        sum.total
     }
 
     /// The estimated expected frequency of one item.
@@ -2534,14 +2501,14 @@ impl SynopsisStore {
     }
 
     /// An immutable point-in-time view of the whole store for serving
-    /// queries: per partition, the `Arc`-cloned sealed-segment handles, the
-    /// `Arc`-cloned frozen memtables and a copy of the live memtable, all
-    /// captured under one brief read lock per shard (poison-recovering,
-    /// see `read_shard`).  The view answers [`SnapshotView::range_estimate`]
-    /// with **bitwise** the value the store itself would have answered at
-    /// capture time, holds no locks, and is unaffected by later ingest —
-    /// a network front-end can serve from it without ever holding a shard
-    /// lock across I/O.
+    /// queries: per partition, the `Arc`-cloned sealed-segment handles and
+    /// `MemtableCapture`s of the live and frozen memtables (never their
+    /// records), captured under one brief read lock per shard
+    /// (poison-recovering, see `read_shard`) in `O(partitions + segments)`.
+    /// The view answers [`SnapshotView::range_estimate`] with **bitwise**
+    /// the store's answer at capture time, holds no locks, and is
+    /// unaffected by later ingest — a network front-end can serve from it
+    /// without ever holding a shard lock across I/O.
     pub fn snapshot_view(&self) -> SnapshotView {
         let sw = self.inner.telemetry.maybe_start();
         let view = self.snapshot_view_core();
@@ -2587,17 +2554,13 @@ impl SynopsisStore {
     }
 
     /// Captures one shard's contents as a [`ViewPartition`]: `Arc` clones
-    /// for the segment handles and frozen memtables, one live-memtable
-    /// copy.  No I/O, no allocation proportional to data volume.
+    /// of the segment handles and memtable frequencies.  No I/O; allocates
+    /// per segment and frozen memtable, never per unsealed record.
     fn capture_one(shard: &Shard) -> ViewPartition {
         ViewPartition {
-            segments: shard
-                .segments
-                .iter()
-                .map(|s| Arc::clone(&s.handle))
-                .collect(),
-            memtable: shard.memtable.clone(),
-            frozen: shard.frozen.iter().map(|(_, m)| Arc::clone(m)).collect(),
+            segments: shard.handles(),
+            live: shard.memtable.capture(),
+            frozen: shard.frozen.iter().map(|(_, m)| m.capture()).collect(),
         }
     }
 
@@ -2869,20 +2832,79 @@ fn clamp_range(n: usize, lo: usize, hi: usize) -> Option<(usize, usize)> {
 }
 
 /// One partition of a [`SnapshotView`]: the `Arc`-shared sealed-segment
-/// handles, the `Arc`-shared frozen memtables and a copy of the live
-/// memtable at capture time.
+/// handles plus [`MemtableCapture`]s of the live and frozen memtables.
 #[derive(Debug, Clone)]
 struct ViewPartition {
     segments: Vec<Arc<SegmentHandle>>,
-    memtable: Memtable,
-    frozen: Vec<Arc<Memtable>>,
+    live: MemtableCapture,
+    frozen: Vec<MemtableCapture>,
+}
+
+/// A range sum over the clamped global window `[lo, hi]`: the one
+/// summation routine behind every read path, counting the segments it
+/// visited and pruned (the store records them; views record nothing).
+#[derive(Default)]
+struct RangeSum {
+    lo: usize,
+    hi: usize,
+    prune: bool,
+    total: f64,
+    visited: u64,
+    pruned: u64,
+}
+
+impl RangeSum {
+    /// Clamps `[lo, hi]` (see [`clamp_range`]) and hands the sum to
+    /// `partition` for each overlapping partition in ascending order.
+    fn over(
+        partitions: &PartitionSpec,
+        prune: bool,
+        lo: usize,
+        hi: usize,
+        mut partition: impl FnMut(usize, &mut RangeSum),
+    ) -> RangeSum {
+        let mut sum = RangeSum::default();
+        let Some((lo, hi)) = clamp_range(partitions.n(), lo, hi) else {
+            return sum;
+        };
+        // `lo <= hi < n`, so both lookups are in-domain; degrade to an
+        // empty answer rather than panic if that invariant ever breaks.
+        let (Ok(first), Ok(last)) = (partitions.partition_of(lo), partitions.partition_of(hi))
+        else {
+            return sum;
+        };
+        (sum.lo, sum.hi, sum.prune) = (lo, hi, prune);
+        for p in first..=last {
+            partition(p, &mut sum);
+        }
+        sum
+    }
+
+    /// Adds one partition's terms in their load-bearing order (f64
+    /// addition is order- and grouping-sensitive): segments in install
+    /// order, then the live memtable's sum, then each frozen one's — so
+    /// pruned, lazy and eager paths and views all agree bitwise (see
+    /// `StoreConfig::prune` for why skipping a fenced-out segment is exact).
+    fn add(&mut self, handles: &[Arc<SegmentHandle>], memtables: impl Iterator<Item = f64>) {
+        for handle in handles {
+            if self.prune && !handle.may_overlap(self.lo, self.hi) {
+                self.pruned += 1;
+                continue;
+            }
+            self.visited += 1;
+            self.total += handle.range_sum(self.lo, self.hi);
+        }
+        for sum in memtables {
+            self.total += sum;
+        }
+    }
 }
 
 /// An immutable point-in-time view of a [`SynopsisStore`], captured by
 /// [`SynopsisStore::snapshot_view`]: answers point/range estimates
 /// **bitwise-identically** to the store at capture time, holds no locks,
-/// shares the sealed segments (and frozen memtables) by `Arc` rather than
-/// copying them, and is isolated from every later ingest, seal or
+/// shares the sealed segments and memtable frequencies by `Arc` (writers
+/// copy-on-write), and is isolated from every later ingest, seal or
 /// compaction.  The serving surface for read paths that must never block
 /// writers or hold a shard lock across I/O.
 #[derive(Debug, Clone)]
@@ -2914,47 +2936,24 @@ impl SnapshotView {
     pub fn live_records(&self) -> u64 {
         self.parts
             .iter()
-            .map(|p| p.memtable.len() as u64 + p.frozen.iter().map(|m| m.len() as u64).sum::<u64>())
+            .map(|p| p.live.len() as u64 + p.frozen.iter().map(|m| m.len() as u64).sum::<u64>())
             .sum()
     }
 
     /// Estimated expected total frequency over the inclusive item range
-    /// `[lo, hi]` **at capture time**: same clamping, same summation order
-    /// and therefore bitwise the same value as
-    /// [`SynopsisStore::range_estimate`] on the store the view was taken
-    /// from.  Panic-free on any input.
+    /// `[lo, hi]` **at capture time**: the store's own summation routine
+    /// over the captured partitions, so bitwise the store's answer then.
+    /// Records no scan telemetry (a view may outlive its store).
+    /// Panic-free on any input.
     pub fn range_estimate(&self, lo: usize, hi: usize) -> f64 {
-        let Some((lo, hi)) = clamp_range(self.n(), lo, hi) else {
-            return 0.0;
-        };
-        let (Ok(first), Ok(last)) = (
-            self.partitions.partition_of(lo),
-            self.partitions.partition_of(hi),
-        ) else {
-            return 0.0;
-        };
-        // Same clamp, same prune gate, same summation order as
-        // `range_estimate_core`, so the view's answer is bitwise the
-        // store's answer at capture time.  Views intentionally do not
-        // record scan telemetry: they are detached from the store and may
-        // outlive it.
-        let mut total = 0.0;
-        for p in first..=last {
-            let Some(part) = self.parts.get(p) else {
-                continue;
-            };
-            for handle in &part.segments {
-                if self.prune && !handle.may_overlap(lo, hi) {
-                    continue;
-                }
-                total += handle.range_sum(lo, hi);
+        RangeSum::over(&self.partitions, self.prune, lo, hi, |p, sum| {
+            if let Some(part) = self.parts.get(p) {
+                let (lo, hi) = (sum.lo, sum.hi);
+                let memtables = std::iter::once(&part.live).chain(&part.frozen);
+                sum.add(&part.segments, memtables.map(|m| m.range_sum(lo, hi)));
             }
-            total += part.memtable.range_sum(lo, hi);
-            for frozen in &part.frozen {
-                total += frozen.range_sum(lo, hi);
-            }
-        }
-        total
+        })
+        .total
     }
 
     /// The estimated expected frequency of one item at capture time.
@@ -3646,6 +3645,99 @@ mod tests {
             frozen_answer.to_bits()
         );
         assert!(view.live_records() + view.segment_count() as u64 > 0);
+    }
+
+    /// A view's answers over a sweep of ranges, as bits, plus its
+    /// unsealed record count: what must not move while the view lives.
+    fn pin_view(view: &SnapshotView) -> (Vec<u64>, u64) {
+        let mut bits = Vec::new();
+        for lo in (0..64).step_by(5) {
+            for hi in [lo, lo + 4, 15, 63, 200] {
+                bits.push(view.range_estimate(lo, hi).to_bits());
+            }
+        }
+        (bits, view.live_records())
+    }
+
+    /// `count` basic records, all inside partition 0 (items `0..16` of
+    /// `config(64, 4, _)`).
+    fn partition0_records(count: usize, seed: u64) -> Vec<StreamRecord> {
+        (0..count)
+            .map(|i| StreamRecord::Basic {
+                item: (i * 7 + seed as usize) % 16,
+                prob: 0.05 + ((i as u64 * 13 + seed) % 17) as f64 / 20.0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn snapshot_view_is_isolated_from_inserts_into_its_partition() {
+        let store = SynopsisStore::new(config(64, 4, 10_000)).unwrap();
+        store.ingest_all(partition0_records(40, 1)).unwrap();
+        let view = store.snapshot_view();
+        let pinned = pin_view(&view);
+        assert_eq!(pinned.0, pin_view(&store.snapshot_view()).0);
+        // The writer now shares its frequencies with the view: this
+        // insert must copy them, not write through the view.
+        store.ingest_all(partition0_records(25, 2)).unwrap();
+        assert_eq!(pin_view(&view), pinned);
+        assert_eq!(view.live_records(), 40);
+        assert_ne!(
+            store.range_estimate(0, 15).to_bits(),
+            view.range_estimate(0, 15).to_bits()
+        );
+        // A fresh capture follows the store bitwise.
+        let fresh = store.snapshot_view();
+        assert_eq!(fresh.live_records(), 65);
+        assert_eq!(
+            fresh.range_estimate(0, 63).to_bits(),
+            store.range_estimate(0, 63).to_bits()
+        );
+    }
+
+    #[test]
+    fn snapshot_view_is_isolated_from_an_inline_seal_of_its_partition() {
+        let store = SynopsisStore::new(config(64, 4, 50)).unwrap();
+        store.ingest_all(partition0_records(49, 3)).unwrap();
+        let view = store.snapshot_view();
+        let pinned = pin_view(&view);
+        // The 50th record reaches the threshold: the inline seal swaps in
+        // a replacement memtable and installs a segment.
+        store.ingest_all(partition0_records(1, 4)).unwrap();
+        assert_eq!(store.stats().segments, 1);
+        assert_eq!(store.stats().live_records, 0);
+        assert_eq!(pin_view(&view), pinned);
+        assert_eq!(view.segment_count(), 0);
+        // And an explicit seal after more inserts leaves it alone too.
+        store.ingest_all(partition0_records(10, 5)).unwrap();
+        let second = store.snapshot_view();
+        let second_pinned = pin_view(&second);
+        assert!(store.seal_partition(0).unwrap());
+        assert_eq!(pin_view(&second), second_pinned);
+        assert_eq!(pin_view(&view), pinned);
+    }
+
+    #[test]
+    fn snapshot_view_is_isolated_from_a_failed_seal_undo() {
+        use pds_core::vfs::fault::{self, ErrorClass, FaultSpec};
+        let dir = std::env::temp_dir().join(format!("pds-store-view-undo-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = SynopsisStore::open_with_wal(config(64, 4, 10_000), &dir).unwrap();
+        store.ingest_all(partition0_records(30, 6)).unwrap();
+        let view = store.snapshot_view();
+        let pinned = pin_view(&view);
+        // The blob write fails every retry: the seal is undone and its
+        // frozen records are absorbed back into the live memtable.
+        let guard = fault::arm(FaultSpec::persistent("blob-write", ErrorClass::Eio).scoped(&dir));
+        assert!(store.seal_partition(0).is_err());
+        drop(guard);
+        assert!(store.degraded().is_some());
+        assert_eq!(pin_view(&view), pinned);
+        // Nothing was lost: the store still answers what the view does.
+        assert_eq!(store.stats().live_records, 30);
+        assert_eq!(pin_view(&store.snapshot_view()), pinned);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
