@@ -7,7 +7,7 @@
 //!
 //! 1. builds **valid seed artefacts** through the real encoders (histogram
 //!    and wavelet binaries, segment binaries and CRC blobs, full store
-//!    snapshots, a real `MANIFEST`, framed WAL lines);
+//!    snapshots, a real `MANIFEST`, binary WAL frames);
 //! 2. applies structure-aware mutations — bit flips, truncations,
 //!    extensions, magic/version/length skews, CRC-region flips, splices of
 //!    two valid inputs, zeroed/duplicated windows, pure garbage;
@@ -70,7 +70,8 @@ pub enum Kind {
     Store,
     /// `Manifest::parse_bytes` (PDSM envelope + per-record CRCs).
     ManifestBytes,
-    /// `wal::parse_frame_line` (`r <len> <crc32> <payload>` text frame).
+    /// `wal::decode_frame` (one binary WAL frame: checked length, payload
+    /// CRC, payload).
     WalFrame,
     /// `pds_server::proto::parse_command_bytes` (one network command line).
     Cmd,
@@ -173,8 +174,8 @@ pub struct FuzzFailure {
 pub struct FuzzOutcome {
     /// Mutations executed.
     pub mutations: u64,
-    /// Mutants the decoder rejected with a `PdsError` (or non-`Record`
-    /// frame outcome / invalid UTF-8 for WAL frames).
+    /// Mutants the decoder rejected with a `PdsError` (or a non-`Record`
+    /// frame outcome for WAL frames).
     pub rejected: u64,
     /// Mutants that still decoded as valid (e.g. payload-only skews on
     /// formats without whole-input checksums).
@@ -192,9 +193,7 @@ pub struct FuzzOutcome {
 }
 
 /// A valid encoder output plus the byte range a strict CRC-flip mutation
-/// may target (for WAL frames only the payload field qualifies: flipping
-/// bit 5 of a lowercase hex digit in the *stored* checksum field yields the
-/// same number in uppercase, which is not corruption).
+/// may target (the whole input for every checksummed format).
 struct SeedInput {
     kind: Kind,
     bytes: Vec<u8>,
@@ -206,32 +205,6 @@ impl SeedInput {
         let strict_range = kind.crc_protected().then_some((0, bytes.len()));
         SeedInput {
             kind,
-            bytes,
-            strict_range,
-        }
-    }
-
-    /// A framed WAL line; the strict range is the payload field.
-    fn frame(line: String) -> SeedInput {
-        let bytes = line.into_bytes();
-        // "r <len> <crc32> <payload>\n": payload starts after the third
-        // space and the trailing newline is excluded.
-        let mut spaces = 0usize;
-        let mut payload_start = None;
-        for (i, b) in bytes.iter().enumerate() {
-            if *b == b' ' {
-                spaces += 1;
-                if spaces == 3 {
-                    payload_start = Some(i + 1);
-                    break;
-                }
-            }
-        }
-        let strict_range = payload_start
-            .filter(|&s| s + 1 < bytes.len())
-            .map(|s| (s, bytes.len() - 1));
-        SeedInput {
-            kind: Kind::WalFrame,
             bytes,
             strict_range,
         }
@@ -423,7 +396,10 @@ fn seed_inputs(seed: u64) -> pds_core::error::Result<Vec<SeedInput>> {
             entries: vec![(2.0, 0.5), (5.0, 0.25)],
         },
     ] {
-        seeds.push(SeedInput::frame(wal::frame_record(&record)?));
+        seeds.push(SeedInput::plain(
+            Kind::WalFrame,
+            wal::frame_record(&record)?,
+        ));
     }
 
     // Network command lines: one valid seed per verb so mutations explore
@@ -661,14 +637,7 @@ fn decode_once(kind: Kind, bytes: &[u8]) -> bool {
             Err(_) => false,
         },
         Kind::ManifestBytes => Manifest::parse_bytes(bytes).is_ok(),
-        Kind::WalFrame => match std::str::from_utf8(bytes) {
-            Ok(text) => matches!(
-                wal::parse_frame_line(text.trim_end_matches(['\r', '\n'])),
-                FrameOutcome::Record(_)
-            ),
-            // A byte mutation that breaks UTF-8 is rejected before framing.
-            Err(_) => false,
-        },
+        Kind::WalFrame => matches!(wal::decode_frame(bytes), FrameOutcome::Record(_)),
         // The server's command parser is total: arbitrary bytes must parse
         // or reject, never panic — the `ERR`-line-and-survive contract.
         Kind::Cmd => proto::parse_command_bytes(bytes).is_ok(),
@@ -971,21 +940,19 @@ mod tests {
     }
 
     #[test]
-    fn walframe_strict_range_covers_payload_only() {
-        let line = wal::frame_record(&StreamRecord::Basic { item: 1, prob: 0.5 }).unwrap();
-        let seed = SeedInput::frame(line.clone());
-        let (lo, hi) = seed.strict_range.expect("frame has a payload");
-        // Everything before the strict range is the "r <len> <crc> " header.
-        let header = &line.as_bytes()[..lo];
-        assert_eq!(header.iter().filter(|&&b| b == b' ').count(), 3);
-        assert_eq!(hi, line.len() - 1, "trailing newline excluded");
+    fn walframe_strict_range_covers_the_whole_frame() {
+        // The frame's length carries its own check, so header bytes are
+        // as protected as the payload: a flip anywhere must reject.
+        let frame = wal::frame_record(&StreamRecord::Basic { item: 1, prob: 0.5 }).unwrap();
+        let seed = SeedInput::plain(Kind::WalFrame, frame.clone());
+        assert_eq!(seed.strict_range, Some((0, frame.len())));
     }
 
     #[test]
     fn single_bit_flips_in_crc_protected_bytes_reject() {
         // The strict invariant, checked exhaustively on small seeds rather
         // than statistically: every single-bit flip of a blob, manifest, or
-        // WAL-frame payload must be rejected.
+        // WAL frame must be rejected.
         let seeds = seed_inputs(2).unwrap();
         for seed in seeds.iter().filter(|s| s.kind.crc_protected()) {
             let (lo, hi) = seed.strict_range.unwrap();

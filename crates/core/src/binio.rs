@@ -32,6 +32,14 @@ impl ByteWriter {
         w
     }
 
+    /// Starts an empty writer on `buf`'s allocation (its contents are
+    /// cleared), so a hot encoder can hand the same buffer back and forth
+    /// through [`ByteWriter::into_bytes`] without allocating.
+    pub fn reuse(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        ByteWriter { buf }
+    }
+
     /// Consumes the writer, returning the accumulated bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

@@ -50,6 +50,13 @@ pub enum PdsError {
         /// The durable-path failure that tripped degradation.
         cause: String,
     },
+    /// A persistent file is in an on-disk format this build does not read
+    /// (for example a write-ahead log written before its binary format).
+    UnsupportedFormat {
+        /// The file and the format found, named so an operator knows what
+        /// to migrate.
+        message: String,
+    },
 }
 
 impl fmt::Display for PdsError {
@@ -73,6 +80,9 @@ impl fmt::Display for PdsError {
             }
             PdsError::Degraded { cause } => {
                 write!(f, "store is degraded (read-only): {cause}")
+            }
+            PdsError::UnsupportedFormat { message } => {
+                write!(f, "unsupported on-disk format: {message}")
             }
         }
     }
@@ -125,6 +135,12 @@ mod tests {
         };
         assert!(e.to_string().contains("degraded"));
         assert!(e.to_string().contains("wal-append"));
+
+        let e = PdsError::UnsupportedFormat {
+            message: "wal-0.log: version-1 text frames".into(),
+        };
+        assert!(e.to_string().contains("unsupported"));
+        assert!(e.to_string().contains("wal-0.log: version-1 text"));
     }
 
     #[test]

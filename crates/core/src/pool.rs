@@ -15,8 +15,8 @@
 //!
 //! [`num_threads`] resolves, in priority order: the process-wide programmatic
 //! override ([`set_num_threads`]), the `PDS_THREADS` environment variable
-//! (read once, at first use), and finally
-//! [`std::thread::available_parallelism`].  Each helper also has a `*_with`
+//! and finally [`std::thread::available_parallelism`] (both read once, at
+//! first use).  Each helper also has a `*_with`
 //! variant taking an explicit thread count, which is what deterministic
 //! serial-vs-parallel equivalence tests use (the global override would leak
 //! between concurrently running tests).
@@ -54,8 +54,10 @@ use std::sync::OnceLock;
 /// Process-wide programmatic override; 0 means "not set".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// `PDS_THREADS` environment variable, parsed once.
-static ENV_THREADS: OnceLock<Option<usize>> = OnceLock::new();
+/// The default worker count — `PDS_THREADS`, else the hardware
+/// parallelism — resolved once: `available_parallelism` reads cgroup files
+/// on Linux (tens of µs), far too slow to repeat per parallel call.
+static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
 
 /// Sets the process-wide worker-thread count used by [`num_threads`].
 /// `Some(n)` forces `n` (clamped to at least 1); `None` restores the
@@ -67,23 +69,20 @@ pub fn set_num_threads(threads: Option<usize>) {
 
 /// The worker-thread count parallel helpers use by default: the
 /// [`set_num_threads`] override if set, else the `PDS_THREADS` environment
-/// variable (read once at first use), else
-/// [`std::thread::available_parallelism`] (1 if unavailable).
+/// variable, else [`std::thread::available_parallelism`] (1 if
+/// unavailable) — the latter two read once, at first use.
 pub fn num_threads() -> usize {
     let forced = THREAD_OVERRIDE.load(Ordering::SeqCst);
     if forced > 0 {
         return forced;
     }
-    let env = ENV_THREADS.get_or_init(|| {
+    *DEFAULT_THREADS.get_or_init(|| {
         std::env::var("PDS_THREADS")
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
             .map(|n| n.max(1))
-    });
-    if let Some(n) = env {
-        return *n;
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
 }
 
 /// Applies `f` to every element of `items` using [`num_threads`] workers,

@@ -131,7 +131,28 @@ pub fn open_append(site: &str, path: &Path, create: bool) -> io::Result<fs::File
 /// An armed short-write fault pushes a real prefix of `buf` into the
 /// writer before surfacing the error, so buffered writers genuinely carry
 /// a torn frame afterwards.
+///
+/// The disarmed fast path is one relaxed load and the plain `write_all`,
+/// inlined into the caller; the fault check sits out of line, so a
+/// buffered WAL append of a few dozen bytes pays nothing measurable for
+/// the passthrough (pinned by `pds_store_pipeline --vfs-gate`).
+#[inline]
 pub fn write_all(site: &str, path: &Path, writer: &mut impl Write, buf: &[u8]) -> io::Result<()> {
+    if !fault::enabled() {
+        return writer.write_all(buf);
+    }
+    write_all_checked(site, path, writer, buf)
+}
+
+/// [`write_all`] with the fault injector armed.
+#[cold]
+#[inline(never)]
+fn write_all_checked(
+    site: &str,
+    path: &Path,
+    writer: &mut impl Write,
+    buf: &[u8],
+) -> io::Result<()> {
     match fault::check_write(site, path, buf.len()) {
         fault::Injection::None => writer.write_all(buf),
         fault::Injection::Fail(e) => Err(e),
@@ -431,7 +452,7 @@ pub mod fault {
     }
 
     #[inline]
-    fn enabled() -> bool {
+    pub(super) fn enabled() -> bool {
         match STATE.load(Ordering::Relaxed) {
             CLEAR => false,
             ARMED => true,

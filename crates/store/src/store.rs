@@ -52,9 +52,6 @@ use crate::segment::{Segment, SegmentSynopsis, SynopsisKind};
 use crate::telemetry::{IoPolicy, QueryOp, StoreTelemetry};
 use crate::wal::{PartitionWal, WalSync};
 
-/// One x-tuple's alternatives grouped by owning partition.
-type SplitAlternatives = BTreeMap<usize, Vec<(usize, f64)>>;
-
 /// A partition of the item domain `[0, n)` into contiguous ranges.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionSpec {
@@ -1391,73 +1388,21 @@ impl SynopsisStore {
     /// sealed automatically (inline, or on the background workers when
     /// enabled).  X-tuples spanning several partitions are split per
     /// partition (see the crate docs for the semantics).  Thread-safe
-    /// through `&self`.
+    /// through `&self`.  A one-record [`SynopsisStore::ingest_batch`]: the
+    /// same routing, WAL group commit and counters.
     ///
     /// # Errors
     ///
     /// Returns [`PdsError::Degraded`] without touching any state once the
     /// store has entered degraded read-only mode (see the crate docs).
     pub fn ingest(&self, record: StreamRecord) -> Result<()> {
-        self.inner.check_writable()?;
-        record.validate()?;
-        let mut compactions: Vec<CompactTask> = Vec::new();
-        match record {
-            StreamRecord::Basic { item, .. } | StreamRecord::ValueDistribution { item, .. } => {
-                let p = self.inner.config.partitions.partition_of(item)?;
-                let inserted = {
-                    let mut shard = self.write_shard(p);
-                    // analyze:allow(lock-discipline) the shard lock is the WAL group-commit serialisation point by design; the append goes to this shard's own log only
-                    self.insert_locked(p, &mut shard, record).and_then(|task| {
-                        compactions.extend(task);
-                        // analyze:allow(lock-discipline) commit of this shard's own WAL; acknowledging before the flush would lose acknowledged records on crash
-                        self.commit_wal_locked(&mut shard)
-                    })
-                };
-                if let Err(e) = inserted {
-                    // A round reserved by the seal still runs even when the
-                    // WAL commit failed, so the partition is never left
-                    // flagged busy.
-                    let _ = self.run_compactions(compactions);
-                    return Err(e);
-                }
-                self.inner.ingested.fetch_add(1, Ordering::Relaxed);
-            }
-            StreamRecord::Alternatives(alts) => {
-                let (by_partition, split) = self.split_x_tuple(&alts)?;
-                self.inner.split_tuples.fetch_add(split, Ordering::Relaxed);
-                self.inner.ingested.fetch_add(1, Ordering::Relaxed);
-                let mut first_error = None;
-                for (p, sub) in by_partition {
-                    let mut shard = self.write_shard(p);
-                    let inserted = self
-                        // analyze:allow(lock-discipline) per-sub-tuple append to this shard's own WAL; the shard lock is the designed commit serialisation point
-                        .insert_locked(p, &mut shard, StreamRecord::Alternatives(sub))
-                        .and_then(|task| {
-                            compactions.extend(task);
-                            // analyze:allow(lock-discipline) commit of this shard's own WAL under its own lock; no other shard's lock is ever taken here
-                            self.commit_wal_locked(&mut shard)
-                        });
-                    if let Err(e) = inserted {
-                        first_error = Some(e);
-                        break;
-                    }
-                }
-                // Reserved compaction rounds run even on error, so a
-                // partition is never left flagged busy.
-                let compacted = self.run_compactions(compactions);
-                return match first_error {
-                    Some(e) => Err(e),
-                    None => compacted,
-                };
-            }
-        }
-        self.run_compactions(compactions)
+        self.ingest_batch(std::iter::once(record))
     }
 
     /// The group-commit boundary of one shard: flushes the WAL appends of
-    /// the current ingest call (or the shard's whole sub-batch), adding
-    /// `File::sync_data` on the [`WalSync::Fsync`] tier — one flush per
-    /// batch per touched shard, never one per record.
+    /// the shard's sub-batch, adding `File::sync_data` on the
+    /// [`WalSync::Fsync`] tier — one flush per batch per touched shard,
+    /// never one per record.
     fn commit_wal_locked(&self, shard: &mut Shard) -> Result<()> {
         if let Some(wal) = shard.wal.as_mut() {
             let sw = self.inner.telemetry.maybe_start();
@@ -1589,7 +1534,15 @@ impl SynopsisStore {
                 Ok(0)
             }
             StreamRecord::Alternatives(alts) => {
-                let (by_partition, split) = self.split_x_tuple(&alts)?;
+                // Every alternative is routed before any sub-tuple is
+                // pushed, so an out-of-domain item leaves the buffers as
+                // they were.
+                let mut by_partition: BTreeMap<usize, Vec<(usize, f64)>> = BTreeMap::new();
+                for (item, prob) in alts {
+                    let p = self.inner.config.partitions.partition_of(item)?;
+                    by_partition.entry(p).or_default().push((item, prob));
+                }
+                let split = u64::from(by_partition.len() > 1);
                 for (p, sub) in by_partition {
                     routed[p].push(StreamRecord::Alternatives(sub));
                 }
@@ -1598,22 +1551,15 @@ impl SynopsisStore {
         }
     }
 
-    /// Splits an x-tuple's alternatives by owning partition.  Returns the
-    /// per-partition groups plus 1 when the tuple actually spans several
-    /// partitions — the single home of the splitting rule shared by every
-    /// ingest path (per-record and batched must never diverge).
-    fn split_x_tuple(&self, alts: &[(usize, f64)]) -> Result<(SplitAlternatives, u64)> {
-        let mut by_partition = SplitAlternatives::new();
-        for &(item, prob) in alts {
-            let p = self.inner.config.partitions.partition_of(item)?;
-            by_partition.entry(p).or_default().push((item, prob));
-        }
-        let split = u64::from(by_partition.len() > 1);
-        Ok((by_partition, split))
-    }
+    /// Routed batches smaller than this insert on the calling thread: a
+    /// scoped pool spawn costs tens to hundreds of µs, while a record
+    /// inserts in well under 2 µs, so a one-record `ingest` or a small wire
+    /// `INGEST` cannot win from fanning out.
+    const PARALLEL_MIN_RECORDS: usize = 64;
 
     /// Drains the routing buffers into their shards, one pool task per
-    /// non-empty partition; buffer capacity is retained for the next chunk.
+    /// non-empty partition (on the calling thread for small batches);
+    /// buffer capacity is retained for the next chunk.
     /// Inline compaction rounds triggered by auto-seals run after every
     /// shard lock is released — even when a shard errored, so a reserved
     /// round is never abandoned with its partition flagged busy.
@@ -1626,8 +1572,15 @@ impl SynopsisStore {
         if batches.is_empty() {
             return Ok(());
         }
-        let results =
-            pool::parallel_map(batches, |(p, batch)| self.ingest_partition_batch(p, batch));
+        let routed_records: usize = batches.iter().map(|(_, batch)| batch.len()).sum();
+        let threads = if routed_records < Self::PARALLEL_MIN_RECORDS {
+            1
+        } else {
+            pool::num_threads()
+        };
+        let results = pool::parallel_map_with(threads, batches, |(p, batch)| {
+            self.ingest_partition_batch(p, batch)
+        });
         let mut compactions = Vec::new();
         let mut first_error = None;
         for (mut tasks, error) in results {
@@ -3205,10 +3158,10 @@ mod tests {
         // landed must replay as live records too.
         std::fs::write(
             dir.join("wal-1.7.sealing"),
-            crate::wal::frame_record(&StreamRecord::Basic {
+            crate::wal::encode_log(&[StreamRecord::Basic {
                 item: 14,
                 prob: 0.25,
-            })
+            }])
             .unwrap(),
         )
         .unwrap();
@@ -3251,27 +3204,28 @@ mod tests {
                 .ingest(StreamRecord::Basic { item: 2, prob: 0.5 })
                 .unwrap();
         }
-        // Corrupt partition 1's live log by hand (a framed line whose
-        // checksum does not match its payload — mid-file, so the torn-tail
-        // lenience does not apply).
+        // Corrupt partition 1's live log by hand (a frame whose checksum
+        // does not match its payload — mid-file, so the torn-tail lenience
+        // does not apply).
         let good = crate::wal::frame_record(&StreamRecord::Basic {
             item: 10,
             prob: 0.5,
         })
         .unwrap();
-        std::fs::write(
-            dir.join("wal-1.log"),
-            format!("{}{good}", good.replace("0.5", "0.7")),
-        )
-        .unwrap();
+        let mut bad = good.clone();
+        *bad.last_mut().unwrap() ^= 0x01; // a payload byte
+        let mut log = crate::wal::encode_log(&[]).unwrap();
+        log.extend_from_slice(&bad);
+        log.extend_from_slice(&good);
+        std::fs::write(dir.join("wal-1.log"), log).unwrap();
         assert!(SynopsisStore::open_with_wal(config(16, 2, 100), &dir).is_err());
         // Partition 0's records survived the failed recovery.
         std::fs::write(
             dir.join("wal-1.log"),
-            crate::wal::frame_record(&StreamRecord::Basic {
+            crate::wal::encode_log(&[StreamRecord::Basic {
                 item: 9,
                 prob: 0.25,
-            })
+            }])
             .unwrap(),
         )
         .unwrap();

@@ -1,5 +1,5 @@
 //! Per-partition write-ahead logs for live memtable contents, with
-//! CRC-framed records and group commit.
+//! CRC-framed binary records and group commit.
 //!
 //! A store's sealed segments are durable through their install-time blobs
 //! and the [`Manifest`](crate::manifest::Manifest); the records still
@@ -10,28 +10,37 @@
 //!
 //! ## Record framing
 //!
-//! Every appended record is one **CRC-framed line**:
+//! Every log file opens with a `PDSL` envelope (the four magic bytes and
+//! the `u16` format version, 2), followed by one **binary frame** per
+//! record:
 //!
 //! ```text
-//! r <len> <crc32-hex8> <payload>
+//! len: u32 LE | crc32(len bytes): u32 LE | crc32(payload): u32 LE | payload
 //! ```
 //!
-//! where `<payload>` is the record in the `pds_core::io` stream line format
-//! (`b <item> <prob>` …), `<len>` is the payload's byte length and the
-//! checksum is `pds_core::binio::crc32` over the payload bytes.  The frame
-//! exists because a torn buffered write can truncate a record into one that
-//! *still parses* — `b 3 0.25` torn to `b 3 0.2` replays a silently wrong
-//! probability.  With the frame, truncation breaks the declared length and
-//! corruption breaks the checksum, so replay either gets the exact bytes
-//! that were acknowledged or refuses.
+//! The payload is a tag byte (`b` basic, `x` x-tuple, `v` value pdf), then
+//! LEB128 varints for items and counts and the raw little-endian `f64`
+//! bits of every probability and value, so replay is bit-exact by
+//! construction.  An append encodes its frame into a buffer the
+//! [`PartitionWal`] owns and reuses, and hands it to the log's buffered
+//! writer in one write: a steady-state append allocates nothing.
+//!
+//! The length carries its own check, so every byte of a frame is covered:
+//! a damaged payload or payload checksum fails the payload CRC, and a
+//! damaged length (or length check) fails the length check.  That second
+//! check is what tells corruption from a torn write — without it, a length
+//! damaged upwards would look like a payload cut short and silently swallow
+//! every acknowledged frame after it.
 //!
 //! **Torn-final-frame tolerance.**  On a *live* log the final frame may be
-//! incomplete (missing fields or a payload shorter than its declared
-//! length): that is an unacknowledged append torn by the crash and is
-//! dropped.  A *complete* final frame whose checksum mismatches, or any
-//! broken frame that is not the last, is corruption and aborts the scan
-//! with every file intact.  Frozen logs were flushed before their rename,
-//! so they are read strictly (no tolerance).
+//! incomplete — a partial header, or a header whose checked length runs
+//! past the end of the file — and so may the envelope of a freshly created
+//! log: that is an unacknowledged append torn by the crash and is dropped.
+//! A complete frame that fails either check is corruption and aborts the
+//! scan with every file intact.  Frozen logs were flushed before their
+//! rename, so they are read strictly (no tolerance).  A log in the
+//! version-1 text format (`r <len> <crc> <payload>` lines) is refused with
+//! [`PdsError::UnsupportedFormat`].
 //!
 //! ## File lifecycle
 //!
@@ -72,10 +81,8 @@
 //! ## Durability contract (group commit + fsync tier)
 //!
 //! Appends are buffered.  The store issues **one flush per ingest call**:
-//! per-record [`SynopsisStore::ingest`](crate::SynopsisStore::ingest)
-//! flushes its one shard, and the batch paths group-commit — every
-//! shard's sub-batch is appended lock-parallel without flushing, then each
-//! touched shard is flushed exactly once per batch
+//! every shard's sub-batch is appended lock-parallel without flushing,
+//! then each touched shard is flushed exactly once per call
 //! ([`PartitionWal::commit_group`]).  The default tier stops at
 //! `BufWriter::flush` (surviving process crashes); the opt-in
 //! [`WalSync::Fsync`](crate::WalSync) tier adds `File::sync_data` at the
@@ -87,13 +94,22 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use pds_core::binio::crc32;
+use pds_core::binio::{crc32, ByteReader, ByteWriter};
 use pds_core::error::{PdsError, Result};
-use pds_core::io::{read_stream, write_stream};
 use pds_core::stream::StreamRecord;
 use pds_core::vfs;
 
 use crate::telemetry::IoPolicy;
+
+/// Magic of the envelope that opens every log file.
+const WAL_MAGIC: [u8; 4] = *b"PDSL";
+/// Current log format: binary frames.  Version 1 was the text frame.
+const WAL_VERSION: u16 = 2;
+/// Bytes of a frame header: payload length, its check, payload CRC.
+const FRAME_HEADER_LEN: usize = 12;
+const TAG_BASIC: u8 = b'b';
+const TAG_ALTERNATIVES: u8 = b'x';
+const TAG_VALUE_PDF: u8 = b'v';
 
 fn io_err(context: &str, e: std::io::Error) -> PdsError {
     PdsError::InvalidParameter {
@@ -105,161 +121,259 @@ fn live_path(dir: &Path, partition: usize) -> PathBuf {
     dir.join(format!("wal-{partition}.log"))
 }
 
-/// Serialises one record as a CRC-framed WAL line (including the trailing
-/// newline) — the exact bytes [`PartitionWal::append`] writes.  Public so
-/// durability tests can craft valid (and then deliberately broken) logs.
-pub fn frame_record(record: &StreamRecord) -> Result<String> {
-    let mut payload = Vec::new();
-    write_stream(std::iter::once(record), &mut payload)?;
-    // write_stream terminates the line; the payload is the line body.
-    while payload.last() == Some(&b'\n') || payload.last() == Some(&b'\r') {
-        payload.pop();
-    }
-    let payload = String::from_utf8(payload).map_err(|_| PdsError::InvalidParameter {
-        message: "wal: serialised stream line is not valid utf-8".into(),
-    })?;
-    Ok(format!(
-        "r {} {:08x} {payload}\n",
-        payload.len(),
-        crc32(payload.as_bytes())
-    ))
+/// The `PDSL` envelope every log file starts with.
+fn log_envelope() -> Vec<u8> {
+    ByteWriter::envelope(WAL_MAGIC, WAL_VERSION).into_bytes()
 }
 
-/// How one framed line failed to parse — drives the torn-tail tolerance.
+/// The check stored beside a frame's payload length.
+fn length_check(len: u32) -> u32 {
+    crc32(&len.to_le_bytes())
+}
+
+/// Encodes `record`'s binary frame into `buf`, replacing its contents and
+/// keeping its allocation — the encoder behind [`PartitionWal::append`],
+/// the recovery commit and [`frame_record`].  Once `buf` has grown to the
+/// largest frame it sees, encoding allocates nothing.
+pub fn encode_frame(record: &StreamRecord, buf: &mut Vec<u8>) -> Result<()> {
+    let mut w = ByteWriter::reuse(std::mem::take(buf));
+    w.put_bytes(&[0; FRAME_HEADER_LEN]);
+    match record {
+        StreamRecord::Basic { item, prob } => {
+            w.put_u8(TAG_BASIC);
+            w.put_varint(*item as u64);
+            w.put_f64(*prob);
+        }
+        StreamRecord::Alternatives(alts) => {
+            w.put_u8(TAG_ALTERNATIVES);
+            w.put_varint(alts.len() as u64);
+            for &(item, prob) in alts {
+                w.put_varint(item as u64);
+                w.put_f64(prob);
+            }
+        }
+        StreamRecord::ValueDistribution { item, entries } => {
+            w.put_u8(TAG_VALUE_PDF);
+            w.put_varint(*item as u64);
+            w.put_varint(entries.len() as u64);
+            for &(value, prob) in entries {
+                w.put_f64(value);
+                w.put_f64(prob);
+            }
+        }
+    }
+    *buf = w.into_bytes();
+    let Some((header, payload)) = buf.split_at_mut_checked(FRAME_HEADER_LEN) else {
+        return Err(PdsError::InvalidParameter {
+            message: "wal: frame shorter than its header".into(),
+        });
+    };
+    let len = u32::try_from(payload.len()).map_err(|_| PdsError::InvalidParameter {
+        message: format!(
+            "wal: a {}-byte record exceeds the frame limit",
+            payload.len()
+        ),
+    })?;
+    let fields = [len, length_check(len), crc32(payload)];
+    for (dst, field) in header.chunks_exact_mut(4).zip(fields) {
+        dst.copy_from_slice(&field.to_le_bytes());
+    }
+    Ok(())
+}
+
+/// Serialises one record as a binary WAL frame — the exact bytes
+/// [`PartitionWal::append`] writes.  Public so durability tests and the
+/// fuzzer can craft valid (and then deliberately broken) frames.
+pub fn frame_record(record: &StreamRecord) -> Result<Vec<u8>> {
+    let mut buf = Vec::new();
+    encode_frame(record, &mut buf)?;
+    Ok(buf)
+}
+
+/// The exact bytes of a log file holding `records`: the envelope, then one
+/// frame per record.  Public so tests can plant valid logs.
+pub fn encode_log(records: &[StreamRecord]) -> Result<Vec<u8>> {
+    let mut log = log_envelope();
+    let mut frame = Vec::new();
+    for record in records {
+        encode_frame(record, &mut frame)?;
+        log.extend_from_slice(&frame);
+    }
+    Ok(log)
+}
+
+/// How one frame failed to decode — drives the torn-tail tolerance.
 enum FrameError {
-    /// Structurally short: missing fields or payload shorter than its
-    /// declared length.  On the final line of a live log this is a torn
+    /// The input ends inside the frame: a partial header, or a checked
+    /// length running past the end.  On a live log this is a torn
     /// buffered append and is dropped.
     Truncated,
-    /// A complete frame that fails its checksum, declares the wrong length
-    /// for a longer payload, or carries an unparseable record: corruption,
-    /// never tolerated.
+    /// A complete frame failing its length check, its payload CRC, or the
+    /// payload decode: corruption, never tolerated.
     Corrupt(String),
 }
 
-/// Parses one framed line into its record.
-fn parse_frame(line: &str) -> std::result::Result<StreamRecord, FrameError> {
-    let corrupt = |what: &str| FrameError::Corrupt(format!("{what}: {line:?}"));
-    let Some(rest) = line.strip_prefix("r ") else {
-        if line.len() < 2 && "r ".starts_with(line) {
-            return Err(FrameError::Truncated);
-        }
-        // A line that parses as a bare stream record is a log written by
-        // the pre-frame WAL format — name it, so an upgrade across the
-        // framing change reads as "migrate this log", not as corruption.
-        if read_stream(line.as_bytes()).is_ok() {
-            return Err(FrameError::Corrupt(format!(
-                "unframed record from a pre-CRC-format wal log (re-ingest or \
-                 remove the old log to migrate): {line:?}"
-            )));
-        }
-        return Err(corrupt("not a framed wal record"));
-    };
-    let Some((len_str, rest)) = rest.split_once(' ') else {
-        return Err(FrameError::Truncated);
-    };
-    let Ok(len) = len_str.parse::<usize>() else {
-        return Err(corrupt("bad frame length"));
-    };
-    let Some((crc_str, payload)) = rest.split_once(' ') else {
-        return Err(FrameError::Truncated);
-    };
-    if crc_str.len() != 8 {
-        return Err(if payload.is_empty() && crc_str.len() < 8 {
-            FrameError::Truncated
-        } else {
-            corrupt("bad frame checksum field")
-        });
-    }
-    let Ok(stored) = u32::from_str_radix(crc_str, 16) else {
-        return Err(corrupt("bad frame checksum field"));
-    };
-    if payload.len() < len {
-        // The payload was cut short: a torn write, detectable even when the
-        // truncated text would still parse as a (wrong) record.
+/// Decodes the frame at the reader's position.
+fn next_frame(r: &mut ByteReader<'_>) -> std::result::Result<StreamRecord, FrameError> {
+    let corrupt = |e: PdsError| FrameError::Corrupt(e.to_string());
+    if r.remaining() < FRAME_HEADER_LEN {
         return Err(FrameError::Truncated);
     }
-    if payload.len() > len {
-        return Err(corrupt("frame payload longer than its declared length"));
+    let len = r.get_u32().map_err(corrupt)?;
+    let check = r.get_u32().map_err(corrupt)?;
+    let crc = r.get_u32().map_err(corrupt)?;
+    if length_check(len) != check {
+        return Err(FrameError::Corrupt(format!(
+            "frame length {len} fails its check"
+        )));
     }
-    if crc32(payload.as_bytes()) != stored {
-        return Err(corrupt("frame checksum mismatch"));
+    let len = len as usize;
+    if r.remaining() < len {
+        return Err(FrameError::Truncated);
     }
-    let mut records =
-        read_stream(payload.as_bytes()).map_err(|e| FrameError::Corrupt(e.to_string()))?;
-    match (records.pop(), records.pop()) {
-        (Some(record), None) => Ok(record),
-        _ => Err(corrupt("frame payload is not exactly one record")),
+    let payload = r.get_bytes(len).map_err(corrupt)?;
+    if crc32(payload) != crc {
+        return Err(FrameError::Corrupt("frame checksum mismatch".into()));
     }
+    decode_payload(payload).map_err(corrupt)
 }
 
-/// Outcome of parsing one framed WAL line — the decoder surface the fuzz
-/// harness (`pds-analyze`) drives directly.  Mirrors the internal framing
-/// result: a valid record, a structurally short (torn) frame, or
-/// corruption with its reason.
+/// Decodes a CRC-verified payload into its record.
+fn decode_payload(payload: &[u8]) -> Result<StreamRecord> {
+    const WHAT: &str = "wal frame";
+    let mut r = ByteReader::new(payload, WHAT);
+    let item = |r: &mut ByteReader<'_>| {
+        usize::try_from(r.get_varint()?).map_err(|_| PdsError::InvalidParameter {
+            message: format!("{WHAT}: item id overflows usize"),
+        })
+    };
+    let record = match r.get_u8()? {
+        TAG_BASIC => StreamRecord::Basic {
+            item: item(&mut r)?,
+            prob: r.get_f64()?,
+        },
+        TAG_ALTERNATIVES => {
+            // Each alternative takes at least 9 bytes, which bounds the
+            // allocation a hostile count can drive.
+            let n = r.get_len(r.remaining() / 9)?;
+            let mut alts = Vec::with_capacity(n);
+            for _ in 0..n {
+                alts.push((item(&mut r)?, r.get_f64()?));
+            }
+            StreamRecord::Alternatives(alts)
+        }
+        TAG_VALUE_PDF => {
+            let item = item(&mut r)?;
+            let n = r.get_len(r.remaining() / 16)?;
+            let mut entries = Vec::with_capacity(n);
+            for _ in 0..n {
+                entries.push((r.get_f64()?, r.get_f64()?));
+            }
+            StreamRecord::ValueDistribution { item, entries }
+        }
+        tag => {
+            return Err(PdsError::InvalidParameter {
+                message: format!("{WHAT}: unknown record tag {tag:#04x}"),
+            })
+        }
+    };
+    r.finish()?;
+    Ok(record)
+}
+
+/// Outcome of decoding one WAL frame — the decoder surface the fuzz
+/// harness (`pds-analyze`) drives directly: a valid record, a frame cut
+/// short (torn), or corruption with its reason.
 #[derive(Debug)]
 pub enum FrameOutcome {
-    /// The line framed a single valid record.
+    /// The bytes are exactly one valid frame.
     Record(StreamRecord),
-    /// The line is structurally short — a torn buffered append.  Tolerated
-    /// only on the final line of a *live* log.
+    /// The bytes end inside the frame — a torn buffered append.  Tolerated
+    /// only at the end of a *live* log.
     Truncated,
-    /// A complete frame failing its checksum, length, or record parse:
-    /// corruption, never tolerated.
+    /// A frame failing its length check, its checksum or its payload
+    /// decode, or followed by trailing bytes: corruption, never tolerated.
     Corrupt(String),
 }
 
-/// Parses one framed WAL line without any tail tolerance, classifying the
-/// result.  This is [`frame_record`]'s decoding counterpart; the fuzzer
-/// asserts that no mutated line ever panics here and that a line whose CRC
-/// was corrupted never classifies as [`FrameOutcome::Record`].
-pub fn parse_frame_line(line: &str) -> FrameOutcome {
-    match parse_frame(line) {
+/// Decodes `bytes` as exactly one frame, without any tail tolerance.  This
+/// is [`frame_record`]'s decoding counterpart; the fuzzer asserts that no
+/// mutated frame ever panics here and that a frame with any checked byte
+/// corrupted never classifies as [`FrameOutcome::Record`].
+pub fn decode_frame(bytes: &[u8]) -> FrameOutcome {
+    let mut r = ByteReader::new(bytes, "wal frame");
+    match next_frame(&mut r) {
+        Ok(_) if r.remaining() != 0 => {
+            FrameOutcome::Corrupt(format!("{} trailing bytes after the frame", r.remaining()))
+        }
         Ok(record) => FrameOutcome::Record(record),
         Err(FrameError::Truncated) => FrameOutcome::Truncated,
         Err(FrameError::Corrupt(why)) => FrameOutcome::Corrupt(why),
     }
 }
 
-/// Reads a framed log.  `tolerate_torn_tail` enables the live-log lenience
-/// for the final line; frozen logs pass `false`.
-fn read_framed_log(path: &Path, tolerate_torn_tail: bool) -> Result<Vec<StreamRecord>> {
-    let text = vfs::read_to_string("recovery-read", path)
-        .map_err(|e| io_err("opening a log for replay", e))?;
-    let lines: Vec<&str> = text
-        .split('\n')
-        .map(|l| l.trim_end_matches('\r'))
-        .filter(|l| !l.is_empty())
-        .collect();
-    let mut records = Vec::with_capacity(lines.len());
-    for (i, line) in lines.iter().enumerate() {
-        match parse_frame(line) {
+/// Decodes a whole log file.  `tolerate_torn_tail` enables the live-log
+/// lenience for a torn envelope or final frame; frozen logs pass `false`.
+fn decode_log(bytes: &[u8], tolerate_torn_tail: bool) -> Result<Vec<StreamRecord>> {
+    let envelope = log_envelope();
+    if tolerate_torn_tail && bytes.len() < envelope.len() && envelope.starts_with(bytes) {
+        // A fresh live log whose envelope never reached the disk.
+        return Ok(Vec::new());
+    }
+    if bytes.starts_with(b"r ") {
+        return Err(PdsError::UnsupportedFormat {
+            message: "a wal log in version-1 text frames; replay it with the build \
+                      that wrote it, or remove it"
+                .into(),
+        });
+    }
+    let (mut r, version) = ByteReader::envelope(bytes, "wal log", WAL_MAGIC)?;
+    if version != WAL_VERSION {
+        return Err(PdsError::UnsupportedFormat {
+            message: format!("a wal log of PDSL version {version}, expected {WAL_VERSION}"),
+        });
+    }
+    let mut records = Vec::new();
+    while r.remaining() > 0 {
+        let offset = bytes.len() - r.remaining();
+        match next_frame(&mut r) {
             Ok(record) => records.push(record),
-            Err(FrameError::Truncated) if tolerate_torn_tail && i + 1 == lines.len() => {
-                // A torn buffered append: the record was never acknowledged.
-                break;
-            }
+            // Truncation only ever happens at the end of the input.
+            Err(FrameError::Truncated) if tolerate_torn_tail => break,
             Err(FrameError::Truncated) => {
                 return Err(PdsError::InvalidParameter {
                     message: format!(
-                        "wal: {}: truncated frame before the end of the log (line {}): {line:?}",
-                        path.display(),
-                        i + 1
+                        "wal log: truncated frame {} at byte {offset} of a frozen log",
+                        records.len() + 1
                     ),
                 });
             }
             Err(FrameError::Corrupt(why)) => {
                 return Err(PdsError::InvalidParameter {
                     message: format!(
-                        "wal: {}: corrupt frame (line {}): {why}",
-                        path.display(),
-                        i + 1
+                        "wal log: corrupt frame {} at byte {offset}: {why}",
+                        records.len() + 1
                     ),
                 });
             }
         }
     }
     Ok(records)
+}
+
+/// Reads and decodes a log file, naming it in any error.
+fn read_framed_log(path: &Path, tolerate_torn_tail: bool) -> Result<Vec<StreamRecord>> {
+    let bytes =
+        vfs::read("recovery-read", path).map_err(|e| io_err("opening a log for replay", e))?;
+    decode_log(&bytes, tolerate_torn_tail).map_err(|e| match e {
+        PdsError::UnsupportedFormat { message } => PdsError::UnsupportedFormat {
+            message: format!("{}: {message}", path.display()),
+        },
+        PdsError::InvalidParameter { message } => PdsError::InvalidParameter {
+            message: format!("wal: {}: {message}", path.display()),
+        },
+        other => other,
+    })
 }
 
 /// The outcome of scanning a partition's logs: every replayable record (in
@@ -283,6 +397,8 @@ pub struct PartitionWal {
     partition: usize,
     live_path: PathBuf,
     writer: BufWriter<File>,
+    /// The frame buffer every append encodes into and reuses.
+    frame: Vec<u8>,
     /// Appends since the last [`PartitionWal::commit_group`] — lets the
     /// group-commit pass skip shards that saw no writes this batch.
     dirty: bool,
@@ -431,19 +547,18 @@ impl PartitionWal {
     ) -> Result<Self> {
         let live = live_path(dir, partition);
         let tmp = dir.join(format!("wal-{partition}.log.tmp"));
+        let mut frame = Vec::new();
         {
             let mut staged = BufWriter::new(
                 vfs::create("recovery-commit", &tmp)
                     .map_err(|e| io_err("creating the staging log", e))?,
             );
-            for record in live_records {
-                vfs::write_all(
-                    "recovery-commit",
-                    &tmp,
-                    &mut staged,
-                    frame_record(record)?.as_bytes(),
-                )
+            vfs::write_all("recovery-commit", &tmp, &mut staged, &log_envelope())
                 .map_err(|e| io_err("writing the staging log", e))?;
+            for record in live_records {
+                encode_frame(record, &mut frame)?;
+                vfs::write_all("recovery-commit", &tmp, &mut staged, &frame)
+                    .map_err(|e| io_err("writing the staging log", e))?;
             }
             vfs::flush("recovery-commit", &tmp, &mut staged)
                 .map_err(|e| io_err("flushing the staging log", e))?;
@@ -474,6 +589,7 @@ impl PartitionWal {
             partition,
             live_path: live,
             writer,
+            frame,
             dirty: false,
             policy,
         })
@@ -489,8 +605,10 @@ impl PartitionWal {
         Ok((wal, replay.records))
     }
 
-    /// Appends one routed record as a CRC-framed line (buffered; see
-    /// [`PartitionWal::sync`] / [`PartitionWal::commit_group`]).
+    /// Appends one routed record as a binary frame (buffered; see
+    /// [`PartitionWal::sync`] / [`PartitionWal::commit_group`]).  The frame
+    /// is encoded into the handle's reused buffer and written in one
+    /// `write_all`, so a steady-state append allocates nothing.
     ///
     /// Append errors are **not retried**: a partially buffered frame
     /// cannot be rewound, so a retry would stack a second copy behind torn
@@ -498,13 +616,8 @@ impl PartitionWal {
     /// and the torn tail — if the buffer ever reaches the disk — is
     /// exactly the torn-final-frame case replay already tolerates.
     pub fn append(&mut self, record: &StreamRecord) -> Result<()> {
-        let frame = frame_record(record)?;
-        let result = vfs::write_all(
-            "wal-append",
-            &self.live_path,
-            &mut self.writer,
-            frame.as_bytes(),
-        );
+        encode_frame(record, &mut self.frame)?;
+        let result = vfs::write_all("wal-append", &self.live_path, &mut self.writer, &self.frame);
         if let Err(e) = &result {
             self.policy.observe_error("wal-append", e);
         }
@@ -556,7 +669,8 @@ impl PartitionWal {
     }
 
     /// Freezes the live log for seal `seq`: flushes, renames it to the
-    /// frozen `.sealing` name and starts a fresh live log.  Returns the
+    /// frozen `.sealing` name and starts a fresh live log (its envelope
+    /// buffered, so it reaches the disk with the first group commit).  Returns the
     /// frozen file's path — the caller deletes it (via
     /// [`PartitionWal::retire`]) once the sealed segment is installed.
     pub fn rotate(&mut self, seq: u64) -> Result<PathBuf> {
@@ -569,12 +683,15 @@ impl PartitionWal {
                 vfs::rename("wal-rotate", &self.live_path, &frozen)
             })
             .map_err(|e| io_err("freezing the live log", e))?;
-        match self
-            .policy
-            .run("wal-rotate", || vfs::create("wal-rotate", &self.live_path))
-        {
-            Ok(file) => {
-                self.writer = BufWriter::new(file);
+        let fresh = || {
+            // `create` truncates, so a retry restarts from an empty file.
+            let mut writer = BufWriter::new(vfs::create("wal-rotate", &self.live_path)?);
+            vfs::write_all("wal-rotate", &self.live_path, &mut writer, &log_envelope())?;
+            Ok(writer)
+        };
+        match self.policy.run("wal-rotate", fresh) {
+            Ok(writer) => {
+                self.writer = writer;
                 self.dirty = false;
                 Ok(frozen)
             }
@@ -776,27 +893,34 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// The bytes of a log holding `records`, concatenated with `tail`.
+    fn log_with(records: &[StreamRecord], tail: &[u8]) -> Vec<u8> {
+        let mut log = encode_log(records).unwrap();
+        log.extend_from_slice(tail);
+        log
+    }
+
     #[test]
     fn corrupt_frames_surface_as_errors_without_destroying_files() {
         let dir = tmp_dir("corrupt");
         fs::create_dir_all(&dir).unwrap();
-        // A frame whose payload is garbage (valid CRC over an unparseable
-        // record) must abort the scan.
-        let payload = "b 0 not-a-number";
-        let bad = format!(
-            "r {} {:08x} {payload}\n",
-            payload.len(),
-            crc32(payload.as_bytes())
-        );
-        fs::write(
-            dir.join("wal-2.log"),
-            format!("{bad}{}", frame_record(&basic(1, 0.5)).unwrap()),
-        )
-        .unwrap();
+        // A frame whose payload is garbage (valid checks over an unknown
+        // record tag) must abort the scan.
+        let payload = b"q garbage";
+        let len = payload.len() as u32;
+        let mut bad = Vec::new();
+        bad.extend_from_slice(&len.to_le_bytes());
+        bad.extend_from_slice(&length_check(len).to_le_bytes());
+        bad.extend_from_slice(&crc32(payload).to_le_bytes());
+        bad.extend_from_slice(payload);
+        assert!(matches!(decode_frame(&bad), FrameOutcome::Corrupt(_)));
+        let mut log = log_with(&[], &bad);
+        log.extend_from_slice(&frame_record(&basic(1, 0.5)).unwrap());
+        fs::write(dir.join("wal-2.log"), log).unwrap();
         assert!(PartitionWal::scan(&dir, 2).is_err());
         // The corrupt log is still there for inspection/repair.
         assert!(dir.join("wal-2.log").exists());
-        fs::write(dir.join("wal-2.log"), frame_record(&basic(0, 0.5)).unwrap()).unwrap();
+        fs::write(dir.join("wal-2.log"), encode_log(&[basic(0, 0.5)]).unwrap()).unwrap();
         let replay = PartitionWal::scan(&dir, 2).unwrap();
         assert_eq!(replay.records.len(), 1);
         let _ = fs::remove_dir_all(&dir);
@@ -806,25 +930,35 @@ mod tests {
     fn torn_final_frames_are_dropped_not_fatal() {
         let dir = tmp_dir("torn");
         fs::create_dir_all(&dir).unwrap();
-        let good: String = [basic(0, 0.5), basic(1, 0.25)]
-            .iter()
-            .map(|r| frame_record(r).unwrap())
-            .collect();
-        // A crash mid-append leaves a partial last line: the acknowledged
+        let good = [basic(0, 0.5), basic(1, 0.25)];
+        // A crash mid-append leaves a partial last frame: the acknowledged
         // prefix replays, the torn tail is discarded.
         let torn = frame_record(&StreamRecord::Alternatives(vec![(2, 0.1), (3, 0.5)])).unwrap();
-        let torn = &torn[..torn.len() - 6]; // cut mid-payload
-        fs::write(dir.join("wal-0.log"), format!("{good}{torn}")).unwrap();
-        let replay = PartitionWal::scan(&dir, 0).unwrap();
-        assert_eq!(replay.records, vec![basic(0, 0.5), basic(1, 0.25)]);
-        // A log that is one torn line replays as empty.
+        for cut in [3, FRAME_HEADER_LEN, torn.len() - 6] {
+            fs::write(dir.join("wal-0.log"), log_with(&good, &torn[..cut])).unwrap();
+            let replay = PartitionWal::scan(&dir, 0).unwrap();
+            assert_eq!(replay.records, good, "cut at {cut}");
+        }
+        // A log that is one torn frame replays as empty, and so does a
+        // fresh log whose envelope was torn.
         let lone = frame_record(&basic(7, 0.25)).unwrap();
-        fs::write(dir.join("wal-1.log"), &lone[..lone.len() - 2]).unwrap();
-        let replay = PartitionWal::scan(&dir, 1).unwrap();
-        assert!(replay.records.is_empty());
+        fs::write(
+            dir.join("wal-1.log"),
+            log_with(&[], &lone[..lone.len() - 2]),
+        )
+        .unwrap();
+        assert!(PartitionWal::scan(&dir, 1).unwrap().records.is_empty());
+        for cut in 0..log_envelope().len() {
+            fs::write(dir.join("wal-1.log"), &log_envelope()[..cut]).unwrap();
+            assert!(PartitionWal::scan(&dir, 1).unwrap().records.is_empty());
+        }
         // Frozen logs stay strict: rotation flushed them, so a short frame
         // is corruption there, not a torn tail.
-        fs::write(dir.join("wal-3.0.sealing"), &lone[..lone.len() - 2]).unwrap();
+        fs::write(
+            dir.join("wal-3.0.sealing"),
+            log_with(&[], &lone[..lone.len() - 2]),
+        )
+        .unwrap();
         assert!(PartitionWal::scan(&dir, 3).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -833,22 +967,23 @@ mod tests {
     fn torn_but_parseable_truncation_is_detected() {
         let dir = tmp_dir("torn-parseable");
         fs::create_dir_all(&dir).unwrap();
-        // `b 3 0.25` torn to `b 3 0.2` still parses as a record — the exact
-        // silent-wrong-probability hazard the frame exists to stop.  The
-        // declared length no longer matches, so the tail is dropped (live
-        // log), never replayed as 0.2.
-        let full = frame_record(&basic(3, 0.25)).unwrap();
-        let torn = &full[..full.len() - 2]; // "...b 3 0.2" without newline
-        fs::write(dir.join("wal-0.log"), torn).unwrap();
+        // An x-tuple frame cut after its first alternative: without the
+        // length, the surviving bytes could pass for a one-alternative
+        // record — a silently wrong tuple.  The checked length says the
+        // payload is short, so the tail is dropped (live log), never
+        // replayed.
+        let full = frame_record(&StreamRecord::Alternatives(vec![(3, 0.25), (4, 0.5)])).unwrap();
+        let torn = &full[..full.len() - 9];
+        fs::write(dir.join("wal-0.log"), log_with(&[], torn)).unwrap();
         let replay = PartitionWal::scan(&dir, 0).unwrap();
-        assert!(
-            replay.records.is_empty(),
-            "torn probability must not replay"
-        );
+        assert!(replay.records.is_empty(), "a torn x-tuple must not replay");
 
-        // The same truncation mid-file (with a later record) is corruption.
-        let next = frame_record(&basic(4, 0.5)).unwrap();
-        fs::write(dir.join("wal-1.log"), format!("{torn}\n{next}")).unwrap();
+        // The same truncation mid-file (with a later record) is corruption:
+        // the declared length reaches into the next frame and the payload
+        // CRC fails.
+        let mut log = log_with(&[], torn);
+        log.extend_from_slice(&frame_record(&basic(4, 0.5)).unwrap());
+        fs::write(dir.join("wal-1.log"), log).unwrap();
         assert!(PartitionWal::scan(&dir, 1).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -857,14 +992,92 @@ mod tests {
     fn bit_flipped_frames_are_rejected() {
         let dir = tmp_dir("bit-flip");
         fs::create_dir_all(&dir).unwrap();
-        let line = frame_record(&basic(3, 0.25)).unwrap();
-        // Flip one character of the payload (probability digit): the CRC
-        // catches it even though the line still parses structurally.
-        let flipped = line.replace("0.25", "0.26");
-        assert_ne!(flipped, line);
-        fs::write(dir.join("wal-0.log"), &flipped).unwrap();
+        let frame = frame_record(&basic(3, 0.25)).unwrap();
+        // Every bit of every frame byte — header and payload — is checked:
+        // a flip never decodes, and in a log it never replays.
+        for pos in 0..frame.len() {
+            for bit in 0..8 {
+                let mut flipped = frame.clone();
+                flipped[pos] ^= 1 << bit;
+                assert!(
+                    !matches!(decode_frame(&flipped), FrameOutcome::Record(_)),
+                    "flip at byte {pos} bit {bit} decoded"
+                );
+            }
+        }
+        let mut flipped = frame.clone();
+        flipped[FRAME_HEADER_LEN + 2] ^= 0x40; // a probability byte
+        fs::write(dir.join("wal-0.log"), log_with(&[], &flipped)).unwrap();
         assert!(PartitionWal::scan(&dir, 0).is_err());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn damaged_lengths_are_corruption_not_a_torn_tail() {
+        let dir = tmp_dir("damaged-length");
+        fs::create_dir_all(&dir).unwrap();
+        // A length damaged upwards runs past the end of the file, which
+        // would read as a torn final frame and drop the acknowledged frame
+        // after it.  The length check turns it into corruption instead.
+        let mut first = frame_record(&basic(1, 0.5)).unwrap();
+        first[2] ^= 0x10;
+        let mut log = log_with(&[], &first);
+        log.extend_from_slice(&frame_record(&basic(2, 0.25)).unwrap());
+        fs::write(dir.join("wal-0.log"), log).unwrap();
+        assert!(PartitionWal::scan(&dir, 0).is_err());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn v1_text_logs_are_refused_with_a_typed_error() {
+        let dir = tmp_dir("v1-text");
+        fs::create_dir_all(&dir).unwrap();
+        let v1 = "r 9 89240cd8 b 3 0.625\n";
+        for name in ["wal-0.log", "wal-1.0.sealing"] {
+            let _ = fs::remove_dir_all(&dir);
+            fs::create_dir_all(&dir).unwrap();
+            fs::write(dir.join(name), v1).unwrap();
+            let p = if name.starts_with("wal-0") { 0 } else { 1 };
+            match PartitionWal::scan(&dir, p) {
+                Err(PdsError::UnsupportedFormat { message }) => {
+                    assert!(message.contains(name), "{message}");
+                    assert!(message.contains("version-1 text"), "{message}");
+                }
+                other => panic!("a v1 log must be refused as unsupported: {other:?}"),
+            }
+            assert_eq!(fs::read_to_string(dir.join(name)).unwrap(), v1);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn frames_replay_bit_exact() {
+        // Raw f64 bits travel through the frame: values that shortest
+        // round-trip text would also keep, and ones it never sees (signed
+        // zero, subnormals).
+        let records = vec![
+            basic(0, 0.1 + 0.2),
+            basic(usize::MAX >> 1, f64::MIN_POSITIVE / 3.0),
+            StreamRecord::Alternatives(vec![(300, 1.0 / 3.0), (1 << 40, 2.0_f64.powi(-60))]),
+            StreamRecord::ValueDistribution {
+                item: 5,
+                entries: vec![(-0.0, 0.5), (1e300, 0.25)],
+            },
+        ];
+        for record in &records {
+            match decode_frame(&frame_record(record).unwrap()) {
+                FrameOutcome::Record(back) => assert_eq!(
+                    format!("{back:?}"),
+                    format!("{record:?}"),
+                    "bit-exact round trip"
+                ),
+                other => panic!("valid frame rejected: {other:?}"),
+            }
+        }
+        assert_eq!(
+            decode_log(&encode_log(&records).unwrap(), false).unwrap(),
+            records
+        );
     }
 
     #[test]

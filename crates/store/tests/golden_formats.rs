@@ -1,6 +1,7 @@
 //! Byte-pinned golden fixtures for the on-disk formats: `PDSG` (segment),
 //! `PDST` (whole store), the block-structured `PDSB` segment blob (and its
-//! v1 CRC-trailed predecessor) and the `MANIFEST`.
+//! v1 CRC-trailed predecessor), the `MANIFEST` and the `PDSL` write-ahead
+//! log.
 //!
 //! The fixtures in `tests/golden/` are checked into the repository.  Every
 //! test here (a) re-encodes a deterministic artefact and asserts the bytes
@@ -19,7 +20,9 @@ use pds_core::metrics::ErrorMetric;
 use pds_core::stream::StreamRecord;
 use pds_store::blob;
 use pds_store::manifest::Manifest;
-use pds_store::{PartitionSpec, Segment, StoreConfig, SynopsisKind, SynopsisStore, WalSync};
+use pds_store::{
+    PartitionSpec, PartitionWal, Segment, StoreConfig, SynopsisKind, SynopsisStore, WalSync,
+};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
@@ -179,4 +182,41 @@ fn manifest_format_is_pinned() {
     assert_eq!(live, vec![(0, 2), (1, 0)]);
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&golden_dir_copy);
+}
+
+#[test]
+fn wal_log_format_is_pinned() {
+    // One frame of each record shape, appended and group-committed through
+    // the real append path: the fixture pins the PDSL envelope, the frame
+    // header (length, length check, payload CRC) and each payload layout.
+    let records = vec![
+        StreamRecord::Basic {
+            item: 3,
+            prob: 0.625,
+        },
+        StreamRecord::Alternatives(vec![(1, 0.25), (130, 0.5)]),
+        StreamRecord::ValueDistribution {
+            item: 12,
+            entries: vec![(2.0, 0.5), (5.0, 0.25)],
+        },
+    ];
+    let dir = std::env::temp_dir().join(format!("pds-golden-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let (mut wal, replayed) = PartitionWal::open(&dir, 0).unwrap();
+        assert!(replayed.is_empty());
+        for record in &records {
+            wal.append(record).unwrap();
+        }
+        wal.commit_group(WalSync::Flush).unwrap();
+    }
+    let bytes = std::fs::read(dir.join("wal-0.log")).unwrap();
+    check_golden("wal.golden", &bytes);
+    // The fixture still replays to the same records, bit for bit.
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::copy(golden_dir().join("wal.golden"), dir.join("wal-0.log")).unwrap();
+    let replay = PartitionWal::scan(&dir, 0).unwrap();
+    assert_eq!(replay.records, records);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -27,7 +27,7 @@ use pds_core::error::PdsError;
 use pds_core::metrics::ErrorMetric;
 use pds_core::stream::StreamRecord;
 use pds_core::vfs::fault::{self, ErrorClass, FaultSpec};
-use pds_store::{CompactionPolicy, PartitionSpec, StoreConfig, SynopsisKind, SynopsisStore};
+use pds_store::{wal, CompactionPolicy, PartitionSpec, StoreConfig, SynopsisKind, SynopsisStore};
 
 const N: usize = 24;
 const PARTS: usize = 2;
@@ -224,64 +224,176 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Bit-flipping any non-final WAL frame aborts the reopen with every
-    /// file intact (the final frame is the documented torn-tail window and
-    /// is covered by the deterministic tests in `wal.rs`).
+    /// Flipping any byte of any non-final WAL frame — its length, the
+    /// length's check, the payload CRC or the payload — aborts the reopen
+    /// with every file intact (the final frame is the torn-tail window,
+    /// covered by `final_frame_prefixes_drop_live_and_fail_frozen` below).
     #[test]
     fn corrupted_wal_frames_fail_reopen_cleanly(
-        records in prop::collection::vec((0..N, 0.01f64..0.9), 4..30),
-        line_frac in 0.0f64..1.0,
-        flip_bit in 0usize..7,
+        records in prop::collection::vec((0..N, 0.01f64..0.9, 0usize..3), 2..12),
+        flip_bit in 0usize..8,
         case in 0u64..u64::MAX,
     ) {
         let dir = unique_dir("wal-corrupt", case);
         let _ = std::fs::remove_dir_all(&dir);
+        let records: Vec<StreamRecord> = records
+            .into_iter()
+            .map(|(item, prob, shape)| record_of_shape(item, prob, shape))
+            .collect();
         {
             // A huge threshold keeps every record in the live WAL.
-            let mut cfg = config();
-            cfg.seal_threshold = usize::MAX >> 1;
-            let store = SynopsisStore::open_with_wal(cfg, &dir).unwrap();
-            for &(item, prob) in &records {
-                store.ingest(StreamRecord::Basic { item, prob }).unwrap();
+            let store = SynopsisStore::open_with_wal(live_only_config(), &dir).unwrap();
+            for record in &records {
+                store.ingest(record.clone()).unwrap();
             }
         }
-        let log_path = (0..PARTS)
-            .map(|p| dir.join(format!("wal-{p}.log")))
-            .find(|p| std::fs::metadata(p).map(|m| m.len() > 0).unwrap_or(false))
-            .expect("some partition logged records");
-        let text = std::fs::read_to_string(&log_path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        // With a single frame the flip would land in the torn-tail window,
-        // which the deterministic `wal.rs` tests cover; corrupt mid-file
-        // only when there is a mid-file.
-        if lines.len() >= 2 {
-            // Flip one character of a non-final frame (never the newline).
-            let target = ((lines.len() - 1) as f64 * line_frac) as usize;
-            let target = target.min(lines.len() - 2);
-            let line = lines[target];
-            let col = line.len() / 2;
-            let mut corrupt_line = line.as_bytes().to_vec();
-            corrupt_line[col] ^= 1u8 << flip_bit;
-            let mut rebuilt: Vec<String> = Vec::new();
-            for (i, l) in lines.iter().enumerate() {
-                rebuilt.push(if i == target {
-                    String::from_utf8_lossy(&corrupt_line).into_owned()
-                } else {
-                    (*l).to_string()
-                });
+        // Frame boundaries of each partition's log, from the records it
+        // was routed (every shape here stays inside one partition).
+        for p in 0..PARTS {
+            let log_path = dir.join(format!("wal-{p}.log"));
+            let log = std::fs::read(&log_path).unwrap();
+            let mut bounds = vec![wal::encode_log(&[]).unwrap().len()];
+            for record in records.iter().filter(|r| partition_of(r) == p) {
+                let end = bounds.last().unwrap() + wal::frame_record(record).unwrap().len();
+                bounds.push(end);
             }
-            std::fs::write(&log_path, format!("{}\n", rebuilt.join("\n"))).unwrap();
-            let result = SynopsisStore::open_with_wal(config(), &dir);
-            prop_assert!(
-                result.is_err(),
-                "a corrupt mid-file frame must abort the reopen ({:?})",
-                log_path
-            );
-            // The scan is read-only: the corrupt file survives.
-            prop_assert!(log_path.exists());
+            prop_assert_eq!(*bounds.last().unwrap(), log.len());
+            // Every byte before the final frame's start.
+            let non_final_end = bounds[bounds.len().saturating_sub(2)];
+            for pos in bounds[0]..non_final_end {
+                let mut corrupt = log.clone();
+                corrupt[pos] ^= 1u8 << flip_bit;
+                std::fs::write(&log_path, &corrupt).unwrap();
+                let before = dir_contents(&dir);
+                prop_assert!(
+                    SynopsisStore::open_with_wal(live_only_config(), &dir).is_err(),
+                    "a flip at byte {} of {:?} must abort the reopen",
+                    pos,
+                    log_path
+                );
+                // The scan is read-only: every file survives unchanged.
+                prop_assert_eq!(dir_contents(&dir), before);
+            }
+            std::fs::write(&log_path, &log).unwrap();
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// [`config`] with the seal threshold out of reach: every record stays in
+/// the live WAL.
+fn live_only_config() -> StoreConfig {
+    let mut cfg = config();
+    cfg.seal_threshold = usize::MAX >> 1;
+    cfg
+}
+
+/// A basic record, an in-partition x-tuple or a value pdf around `item`.
+fn record_of_shape(item: usize, prob: f64, shape: usize) -> StreamRecord {
+    let base = item - item % (N / PARTS);
+    match shape {
+        0 => StreamRecord::Basic { item, prob },
+        1 => StreamRecord::Alternatives(vec![(base, prob / 2.0), (item, prob / 2.0)]),
+        _ => StreamRecord::ValueDistribution {
+            item,
+            entries: vec![(1.5, prob / 2.0), (3.0, prob / 4.0)],
+        },
+    }
+}
+
+/// The partition owning a record that stays inside one partition.
+fn partition_of(record: &StreamRecord) -> usize {
+    let item = match record {
+        StreamRecord::Basic { item, .. } | StreamRecord::ValueDistribution { item, .. } => *item,
+        StreamRecord::Alternatives(alts) => alts[0].0,
+    };
+    item / (N / PARTS)
+}
+
+/// Every file of a store directory, by name.
+fn dir_contents(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (
+                e.file_name().to_string_lossy().into_owned(),
+                std::fs::read(e.path()).unwrap(),
+            )
+        })
+        .collect()
+}
+
+/// Every strict prefix of the final frame — a partial header included —
+/// is an unacknowledged torn append: a live log drops it and replays the
+/// acknowledged frames before it bitwise, while a frozen log (flushed
+/// before its rename) refuses it with every file intact.
+#[test]
+fn final_frame_prefixes_drop_live_and_fail_frozen() {
+    let dir = unique_dir("wal-torn-tail", 0);
+    let _ = std::fs::remove_dir_all(&dir);
+    // Every shape, all in partition 0; the final one is the torn frame.
+    let records: Vec<StreamRecord> = (0..6)
+        .map(|i| record_of_shape(i, 0.125 * (i + 1) as f64, i % 3))
+        .collect();
+    {
+        let store = SynopsisStore::open_with_wal(live_only_config(), &dir).unwrap();
+        for record in &records {
+            store.ingest(record.clone()).unwrap();
+        }
+    }
+    let live = dir.join("wal-0.log");
+    let log = std::fs::read(&live).unwrap();
+    let final_len = wal::frame_record(records.last().unwrap()).unwrap().len();
+    let final_start = log.len() - final_len;
+    let acked = SynopsisStore::new(live_only_config()).unwrap();
+    for record in &records[..records.len() - 1] {
+        acked.ingest(record.clone()).unwrap();
+    }
+    let frozen = dir.join("wal-0.0.sealing");
+    // Cut 0 would be a complete shorter log, not a torn frame.
+    for cut in 1..final_len {
+        let torn = &log[..final_start + cut];
+        // Live: the torn frame is dropped, the acknowledged prefix kept.
+        std::fs::write(&live, torn).unwrap();
+        let reopened = SynopsisStore::open_with_wal(live_only_config(), &dir)
+            .unwrap_or_else(|e| panic!("torn live tail cut at {cut} must reopen: {e}"));
+        assert_eq!(reopened.stats().live_records, acked.stats().live_records);
+        assert!(ranges_match(&reopened, &acked), "cut at {cut}");
+        drop(reopened);
+        // Frozen: the same bytes are corruption.
+        std::fs::remove_file(&live).unwrap();
+        std::fs::write(&frozen, torn).unwrap();
+        let before = dir_contents(&dir);
+        assert!(
+            SynopsisStore::open_with_wal(live_only_config(), &dir).is_err(),
+            "a torn frozen log cut at {cut} must fail the reopen"
+        );
+        assert_eq!(dir_contents(&dir), before, "cut at {cut}");
+        std::fs::remove_file(&frozen).unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A log in the version-1 text format is refused with a typed error that
+/// names the format, and left on disk for the build that can replay it.
+#[test]
+fn v1_text_wal_logs_are_refused_with_a_typed_error() {
+    let dir = unique_dir("wal-v1", 0);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let v1 = "r 9 89240cd8 b 3 0.625\nr 9 4bb4e3f4 b 4 0.125\n";
+    std::fs::write(dir.join("wal-0.log"), v1).unwrap();
+    match SynopsisStore::open_with_wal(config(), &dir) {
+        Err(PdsError::UnsupportedFormat { message }) => {
+            assert!(message.contains("wal-0.log"), "{message}");
+            assert!(message.contains("version-1 text"), "{message}");
+        }
+        Err(other) => panic!("expected UnsupportedFormat, got {other}"),
+        Ok(_) => panic!("a v1 text log must not open"),
+    }
+    assert_eq!(std::fs::read_to_string(dir.join("wal-0.log")).unwrap(), v1);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Sites a runtime mutation (ingest / seal / compact) can cross, in the
